@@ -5,8 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "sb/wire/frames.hpp"
-
 namespace sbp::net {
 
 bool Daemon::listen(const std::string& endpoint_spec, std::string* error) {
@@ -34,10 +32,12 @@ std::size_t Daemon::poll_once(int timeout_ms) {
     fds.push_back({listener.get(), POLLIN, 0});
   }
   for (std::size_t c = 0; c < polled_connections; ++c) {
-    const Connection& connection = *connections_[c];
-    short events = POLLIN;
-    if (connection.out_offset < connection.out.size()) events |= POLLOUT;
-    fds.push_back({connection.fd.get(), events, 0});
+    const std::size_t pending = connections_[c]->pending();
+    // Above the high-water mark the peer is not reading its replies:
+    // stop taking requests until the output drains below the mark.
+    short events = pending < kOutputHighWaterBytes ? POLLIN : 0;
+    if (pending > 0) events |= POLLOUT;
+    fds.push_back({connections_[c]->fd.get(), events, 0});
   }
   if (fds.empty()) return 0;
 
@@ -57,6 +57,7 @@ std::size_t Daemon::poll_once(int timeout_ms) {
     }
     if ((revents & POLLOUT) != 0) flush(connection);
     if ((revents & (POLLIN | POLLHUP)) != 0) read_ready(connection);
+    if (revents != 0 && !connection.broken) serve_buffered(connection);
   }
   close_broken();
   return static_cast<std::size_t>(stats_.frames_served - served_before);
@@ -97,86 +98,38 @@ void Daemon::read_ready(Connection& connection) {
     connection.decoder.feed(buffer, static_cast<std::size_t>(got));
     if (static_cast<std::size_t>(got) < sizeof(buffer)) break;
   }
+}
 
-  while (auto envelope = connection.decoder.next()) {
-    if (!serve_envelope(connection, *envelope)) {
-      ++stats_.decode_errors;
-      connection.broken = true;
-      return;
-    }
+void Daemon::serve_buffered(Connection& connection) {
+  bool servable = true;
+  while (servable && connection.pending() < kOutputHighWaterBytes) {
+    const auto envelope = connection.decoder.next();
+    if (!envelope) break;
+    servable = serve_envelope(connection, *envelope);
+    // At the mark, write what the peer takes now; the loop goes on only
+    // if that brought the output back under the mark, else POLLOUT will.
+    if (connection.pending() >= kOutputHighWaterBytes) flush(connection);
   }
-  if (connection.decoder.error()) {
-    ++stats_.decode_errors;
-    connection.broken = true;
+  if (servable && !connection.decoder.error()) {
+    flush(connection);
     return;
   }
-  flush(connection);
+  ++stats_.decode_errors;
+  connection.broken = true;
 }
 
 bool Daemon::serve_envelope(Connection& connection,
                             const Envelope& envelope) {
-  if (envelope.payload.empty()) return false;
   const std::uint64_t start_ns = obs::now_ns();
-  const std::size_t request_bytes = envelope.payload.size();
+  const auto served = server_.serve_frame(envelope.payload, envelope.tick);
+  if (!served) return false;  // empty, undecodable or not a request
 
-  std::vector<std::uint8_t> response;
-  obs::Channel channel;
-  bool update_channel = false;
-  switch (static_cast<sb::wire::FrameType>(envelope.payload[0])) {
-    case sb::wire::FrameType::kFullHashRequest: {
-      const auto request = sb::wire::decode_full_hash_request(envelope.payload);
-      if (!request) return false;
-      response = sb::wire::encode_full_hash_response(server_.get_full_hashes(
-          request->prefixes, request->cookie, envelope.tick));
-      channel = obs::Channel::kFullHash;
-      ++wire_.full_hash_requests;
-      break;
-    }
-    case sb::wire::FrameType::kV1LookupRequest: {
-      const auto request = sb::wire::decode_v1_lookup_request(envelope.payload);
-      if (!request) return false;
-      const bool malicious =
-          server_.lookup_v1(request->url, request->cookie, envelope.tick);
-      response = sb::wire::encode_v1_lookup_response({malicious});
-      channel = obs::Channel::kV1Lookup;
-      ++wire_.v1_requests;
-      break;
-    }
-    case sb::wire::FrameType::kUpdateRequest:
-    case sb::wire::FrameType::kV4UpdateRequest: {
-      const bool v4 = envelope.payload[0] ==
-                      static_cast<std::uint8_t>(
-                          sb::wire::FrameType::kV4UpdateRequest);
-      const auto encoded = server_.encoded_update_response(envelope.payload);
-      if (!encoded) return false;
-      response = *encoded;  // copy into the connection's frame
-      channel = v4 ? obs::Channel::kV4Update : obs::Channel::kV3Update;
-      if (v4) {
-        ++wire_.v4_update_requests;
-      } else {
-        ++wire_.update_requests;
-      }
-      update_channel = true;
-      break;
-    }
-    default:
-      return false;  // response tags and unknown bytes are protocol errors
-  }
-
-  wire_.bytes_up += request_bytes;
-  wire_.bytes_down += response.size();
-  if (update_channel) {
-    wire_.update_bytes_up += request_bytes;
-    wire_.update_bytes_down += response.size();
-  }
-  obs_.channel(channel).record(request_bytes, response.size(),
-                               obs::now_ns() - start_ns);
+  const std::span<const std::uint8_t> reply = served->bytes();
+  wire_.count(served->channel, envelope.payload.size(), reply.size());
+  obs_.channel(served->channel)
+      .record(envelope.payload.size(), reply.size(), obs::now_ns() - start_ns);
   ++stats_.frames_served;
-
-  const std::vector<std::uint8_t> out_envelope =
-      encode_envelope(envelope.tick, response);
-  connection.out.insert(connection.out.end(), out_envelope.begin(),
-                        out_envelope.end());
+  append_envelope(connection.out, envelope.tick, reply);
   return true;
 }
 
@@ -187,14 +140,31 @@ void Daemon::flush(Connection& connection) {
         connection.out.size() - connection.out_offset, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // POLLOUT later
-      connection.broken = true;  // EPIPE/ECONNRESET: peer is gone
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        connection.broken = true;  // EPIPE/ECONNRESET: peer is gone
+      } else if (connection.out_offset >= kOutputHighWaterBytes) {
+        // A peer that never drains fully must not grow the buffer with
+        // bytes it already took: drop the written prefix (POLLOUT later).
+        const auto written_end =
+            connection.out.begin() +
+            static_cast<std::ptrdiff_t>(connection.out_offset);
+        connection.out.erase(connection.out.begin(), written_end);
+        connection.out_offset = 0;
+      }
       return;
     }
     connection.out_offset += static_cast<std::size_t>(written);
   }
   connection.out.clear();
   connection.out_offset = 0;
+}
+
+std::size_t Daemon::pending_output_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& connection : connections_) {
+    total += connection->pending();
+  }
+  return total;
 }
 
 void Daemon::close_broken() {
@@ -217,29 +187,16 @@ void Daemon::shutdown(int drain_ms) {
   const std::uint64_t deadline_ns =
       obs::now_ns() + static_cast<std::uint64_t>(drain_ms) * 1'000'000ULL;
   for (;;) {
-    bool pending = false;
-    for (const auto& connection : connections_) {
-      if (!connection->broken &&
-          connection->out_offset < connection->out.size()) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending || obs::now_ns() >= deadline_ns) break;
-
     std::vector<pollfd> fds;
     for (const auto& connection : connections_) {
-      if (!connection->broken &&
-          connection->out_offset < connection->out.size()) {
+      if (!connection->broken && connection->pending() > 0) {
         fds.push_back({connection->fd.get(), POLLOUT, 0});
       }
     }
+    if (fds.empty() || obs::now_ns() >= deadline_ns) break;
     if (::poll(fds.data(), fds.size(), 50) <= 0) continue;
     for (auto& connection : connections_) {
-      if (!connection->broken &&
-          connection->out_offset < connection->out.size()) {
-        flush(*connection);
-      }
+      if (!connection->broken) flush(*connection);
     }
     close_broken();
   }
@@ -262,6 +219,7 @@ obs::Snapshot Daemon::snapshot() const {
   counters.counter("connections_closed").value = stats_.connections_closed;
   counters.counter("frames_served").value = stats_.frames_served;
   counters.counter("decode_errors").value = stats_.decode_errors;
+  counters.counter("output_pending_bytes").value = pending_output_bytes();
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
   return snapshot;

@@ -1,21 +1,26 @@
 // The sbserved event loop: sb::Server behind poll(2) (src/net).
 //
-// A single-threaded reactor serving the byte-level wire protocol -- all 8
-// frame types (full-hash, v3/v4 updates, v1 lookups) wrapped in the
-// envelope framing of net/frame_codec.hpp -- over any mix of TCP and Unix
-// listeners. Single-threaded is a feature, not a shortcut: every request
-// on every connection is served in arrival order by one thread, so the
-// server's query log is a deterministic function of the clients' request
-// stream, and the update endpoints (which mutate via seal) need no locks.
+// A single-threaded reactor serving the byte-level wire protocol --
+// request frames wrapped in the envelope framing of net/frame_codec.hpp --
+// over any mix of TCP and Unix listeners. Each request payload goes to
+// Server::serve_frame, the same dispatcher the in-process transport
+// calls, and its reply is appended straight to the connection's output.
+// Single-threaded is a feature, not a shortcut: every request on every
+// connection is served in arrival order by one thread, so the server's
+// query log is a deterministic function of the clients' request stream,
+// and the update endpoints (which mutate via seal) need no locks.
 // The encode-once update cache (Server::encoded_update_response) does the
 // fan-out: N clients at the same state token share one encoding.
 //
 // Connection handling is fully non-blocking: per-connection FrameDecoder
 // for partial reads, per-connection output buffer with POLLOUT-driven
-// flushing for short writes. A connection that sends garbage (envelope
-// oversize, undecodable frame, unknown tag) is counted in
-// stats().decode_errors and closed -- never crashes the daemon. EINTR at
-// any syscall is retried (poll: treated as a timeout); callers are
+// flushing for short writes. Output is bounded: once a connection holds
+// kOutputHighWaterBytes of unsent replies (a peer that pipelines requests
+// and never reads), the daemon stops reading and serving its requests
+// until the output drains below the mark. A connection that sends
+// garbage (envelope oversize, undecodable frame, unknown tag) is counted
+// in stats().decode_errors and closed -- never crashes the daemon. EINTR
+// at any syscall is retried (poll: treated as a timeout); callers are
 // expected to have SIGPIPE ignored process-wide (net::ignore_sigpipe).
 //
 // The loop is owned by the caller: poll_once() steps it, so binaries can
@@ -43,6 +48,11 @@
 #include "sb/transport.hpp"
 
 namespace sbp::net {
+
+/// Unsent reply bytes at which a connection stops being read or served
+/// until its peer drains it below the mark; a connection's output is thus
+/// bounded by the mark plus one reply.
+inline constexpr std::size_t kOutputHighWaterBytes = 4u << 20;
 
 /// Daemon-level counters (wire totals live in transport_stats()).
 struct DaemonStats {
@@ -86,6 +96,8 @@ class Daemon {
     return connections_.size();
   }
   [[nodiscard]] const DaemonStats& stats() const noexcept { return stats_; }
+  /// Reply bytes queued but not yet written, over every connection.
+  [[nodiscard]] std::size_t pending_output_bytes() const noexcept;
   [[nodiscard]] const sb::TransportStats& transport_stats() const noexcept {
     return wire_;
   }
@@ -106,14 +118,21 @@ class Daemon {
     std::vector<std::uint8_t> out;  ///< pending bytes [out_offset, end)
     std::size_t out_offset = 0;
     bool broken = false;
+
+    [[nodiscard]] std::size_t pending() const noexcept {
+      return out.size() - out_offset;
+    }
   };
 
   void accept_ready(std::size_t listener_index);
-  /// Reads everything available; serves each complete envelope. Marks the
-  /// connection broken on EOF/error/garbage.
+  /// Reads everything available into the decoder. Marks the connection
+  /// broken on EOF/error.
   void read_ready(Connection& connection);
-  /// Serves one request envelope (dispatch on the payload's frame tag).
-  /// False = undecodable (caller drops the connection).
+  /// Serves buffered envelopes while the output is below the high-water
+  /// mark, then flushes. Marks the connection broken on garbage.
+  void serve_buffered(Connection& connection);
+  /// Serves one request envelope through Server::serve_frame. False =
+  /// not a servable request (caller drops the connection).
   [[nodiscard]] bool serve_envelope(Connection& connection,
                                     const Envelope& envelope);
   /// Flushes pending output as far as the socket allows.

@@ -1,29 +1,14 @@
 #include "net/frame_codec.hpp"
 
-#include <cstring>
-
 namespace sbp::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
+/// Appends the low `bytes` bytes of `value`, little-endian.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t value, int bytes) {
+  for (int shift = 0; shift < 8 * bytes; shift += 8) {
     out.push_back(static_cast<std::uint8_t>(value >> shift));
   }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) {
@@ -38,10 +23,22 @@ std::vector<std::uint8_t> encode_envelope(
     std::uint64_t tick, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kEnvelopeHeaderBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u64(out, tick);
-  out.insert(out.end(), payload.begin(), payload.end());
+  append_envelope(out, tick, payload);
   return out;
+}
+
+void append_envelope(std::vector<std::uint8_t>& out, std::uint64_t tick,
+                     std::span<const std::uint8_t> payload) {
+  put_le(out, payload.size(), 4);
+  put_le(out, tick, 8);
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+std::uint32_t envelope_payload_length(const std::uint8_t* header) noexcept {
+  return static_cast<std::uint32_t>(header[0]) |
+         static_cast<std::uint32_t>(header[1]) << 8 |
+         static_cast<std::uint32_t>(header[2]) << 16 |
+         static_cast<std::uint32_t>(header[3]) << 24;
 }
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
@@ -51,7 +48,7 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
 
 std::optional<Envelope> FrameDecoder::next() {
   if (error_ || buffer_.size() < kEnvelopeHeaderBytes) return std::nullopt;
-  const std::uint32_t payload_len = get_u32(buffer_.data());
+  const std::uint32_t payload_len = envelope_payload_length(buffer_.data());
   if (payload_len > kMaxPayloadBytes) {
     // Nothing is allocated for the bogus length; the stream is
     // unrecoverable (we cannot know where the next frame starts).

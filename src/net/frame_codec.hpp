@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace sbp::net {
@@ -49,6 +50,14 @@ struct Envelope {
 /// [header][payload] ready to write to a socket.
 [[nodiscard]] std::vector<std::uint8_t> encode_envelope(
     std::uint64_t tick, const std::vector<std::uint8_t>& payload);
+
+/// Appends [header][payload] to `out` (a connection's output buffer).
+void append_envelope(std::vector<std::uint8_t>& out, std::uint64_t tick,
+                     std::span<const std::uint8_t> payload);
+
+/// The payload_len field of a kEnvelopeHeaderBytes-long header.
+[[nodiscard]] std::uint32_t envelope_payload_length(
+    const std::uint8_t* header) noexcept;
 
 /// Incremental stream decoder; tolerant of arbitrary read fragmentation.
 class FrameDecoder {

@@ -1,27 +1,28 @@
 // sb::Transport over a stream socket (src/net).
 //
-// The networked twin of sb::InProcessTransport: the same four protocol
-// endpoints, but each request is encoded to a wire frame, wrapped in the
-// envelope framing of net/frame_codec.hpp and round-tripped synchronously
-// over one TCP or Unix connection to a running sbserved. Synchronous
+// The networked exchange under sb::FrameTransport: the typed endpoints,
+// their encode/decode and every counter are the base class's, shared with
+// sb::InProcessTransport; this class only carries each request frame,
+// wrapped in the envelope framing of net/frame_codec.hpp, synchronously
+// over one TCP or Unix connection to a running sbserved, whose
+// net::Daemon answers through the same Server::serve_frame. Synchronous
 // blocking IO is deliberate -- the engine's client model is one
 // outstanding request per client, so a request/response pipeline would
 // buy nothing and cost the determinism argument (docs/networking.md).
 //
 // Equivalence contract: byte counters (TransportStats, obs) count frame
-// payload bytes only -- identical to InProcessTransport for the same
-// request stream -- and every request carries clock().now() so the daemon
-// logs queries at this client's deterministic tick. Like the engine's
-// default in-process wiring, the clock is never advanced by transport
-// (round-trip time is wall-clock, not simulated ticks).
+// payload bytes only, and every request carries clock().now() so the
+// daemon logs queries at this client's deterministic tick. Like the
+// engine's default in-process wiring, the clock is never advanced by
+// transport (round-trip time is wall-clock, not simulated ticks).
 //
 // Failure model: any socket error (connect refused, EOF mid-response,
-// oversize response length) closes the connection, sets error(), counts
-// failed_requests, and makes every subsequent request fail fast with
-// nullopt -- the same nullopt surface the client retry logic already
-// handles for injected failures. No reconnects: a scenario run is one
-// connection per shard, and a daemon restart mid-run would break the
-// equivalence contract anyway.
+// oversize response length) or undecodable reply closes the connection,
+// sets error(), and makes every subsequent request fail fast with nullopt
+// -- the same nullopt surface, counted in failed_requests only, that the
+// client retry logic already handles for injected failures. No
+// reconnects: a scenario run is one connection per shard, and a daemon
+// restart mid-run would break the equivalence contract anyway.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@
 
 namespace sbp::net {
 
-class SocketTransport final : public sb::Transport {
+class SocketTransport final : public sb::FrameTransport {
  public:
   /// Connects to `endpoint_spec` ("tcp:HOST:PORT" or "unix:/PATH")
   /// immediately. On failure the transport is constructed in the error
@@ -45,22 +46,16 @@ class SocketTransport final : public sb::Transport {
   /// Human-readable description of the first failure, empty if none.
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
-  [[nodiscard]] std::optional<sb::FullHashResponse> get_full_hashes_or_error(
-      const std::vector<crypto::Prefix32>& prefixes, sb::Cookie cookie) override;
-  [[nodiscard]] std::optional<sb::UpdateResponse> fetch_update_or_error(
-      const sb::UpdateRequest& request) override;
-  [[nodiscard]] std::optional<sb::V4UpdateResponse> fetch_v4_update_or_error(
-      const sb::V4UpdateRequest& request) override;
-  [[nodiscard]] std::optional<bool> lookup_v1_or_error(
-      std::string_view url, sb::Cookie cookie) override;
-
  private:
   /// Writes `request_frame` under an envelope stamped with clock().now(),
   /// reads exactly one response envelope back. nullopt (and a dead
   /// connection) on any IO or framing error.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> round_trip(
-      const std::vector<std::uint8_t>& request_frame);
-  void fail(const std::string& what);
+  std::optional<sb::ReplyFrame> exchange(
+      obs::Channel channel,
+      const std::vector<std::uint8_t>& request_frame) override;
+  void reply_undecodable(obs::Channel channel) override;
+  /// Records the first error and closes the connection.
+  std::nullopt_t fail(const std::string& what);
 
   Fd fd_;
   std::string error_;

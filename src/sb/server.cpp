@@ -281,6 +281,38 @@ UpdateResponse Server::fetch_update(const UpdateRequest& request) {
   return response;
 }
 
+std::optional<ReplyFrame> Server::serve_frame(
+    const std::vector<std::uint8_t>& request_frame, std::uint64_t tick) {
+  if (request_frame.empty()) return std::nullopt;
+  switch (static_cast<wire::FrameType>(request_frame[0])) {
+    case wire::FrameType::kFullHashRequest: {
+      const auto request = wire::decode_full_hash_request(request_frame);
+      if (!request) return std::nullopt;
+      return ReplyFrame{obs::Channel::kFullHash, nullptr,
+                        wire::encode_full_hash_response(get_full_hashes(
+                            request->prefixes, request->cookie, tick))};
+    }
+    case wire::FrameType::kV1LookupRequest: {
+      const auto request = wire::decode_v1_lookup_request(request_frame);
+      if (!request) return std::nullopt;
+      const bool malicious = lookup_v1(request->url, request->cookie, tick);
+      return ReplyFrame{obs::Channel::kV1Lookup, nullptr,
+                        wire::encode_v1_lookup_response({malicious})};
+    }
+    case wire::FrameType::kUpdateRequest:
+    case wire::FrameType::kV4UpdateRequest: {
+      auto encoded = encoded_update_response(request_frame);
+      if (!encoded) return std::nullopt;
+      const bool v4 = static_cast<wire::FrameType>(request_frame[0]) ==
+                      wire::FrameType::kV4UpdateRequest;
+      return ReplyFrame{v4 ? obs::Channel::kV4Update : obs::Channel::kV3Update,
+                        std::move(encoded), {}};
+    }
+    default:
+      return std::nullopt;  // response tags and unknown bytes
+  }
+}
+
 std::shared_ptr<const std::vector<std::uint8_t>>
 Server::encoded_update_response(
     const std::vector<std::uint8_t>& request_frame) {

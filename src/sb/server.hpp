@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "obs/phase.hpp"
 #include "sb/chunk.hpp"
 #include "sb/list_spec.hpp"
 
@@ -182,6 +183,20 @@ struct V4UpdateResponse {
   std::uint64_t minimum_wait = 0;
 };
 
+/// One encoded reply frame and the channel it answered. An update reply
+/// shares the bytes of the server's encode cache (never copied); every
+/// other reply owns its bytes.
+struct ReplyFrame {
+  obs::Channel channel = obs::Channel::kFullHash;
+  std::shared_ptr<const std::vector<std::uint8_t>> shared;
+  std::vector<std::uint8_t> owned;
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return shared ? std::span<const std::uint8_t>(*shared)
+                  : std::span<const std::uint8_t>(owned);
+  }
+};
+
 class Server {
  public:
   explicit Server(Provider provider = Provider::kGoogle)
@@ -289,6 +304,14 @@ class Server {
   /// v4 sliced update: diffs the client's synced state against the current
   /// effective prefix set and returns removal-index/addition slices.
   [[nodiscard]] V4UpdateResponse fetch_v4_update(const V4UpdateRequest& request);
+
+  /// The one request-frame dispatcher (in-process transport and daemon):
+  /// decodes a full-hash, v1 or v3/v4 update request frame, serves it at
+  /// `tick` (updates via encoded_update_response, cached bytes shared) and
+  /// returns the encoded reply with its channel. nullopt for an empty,
+  /// undecodable, response-tagged or unknown frame, which is never logged.
+  [[nodiscard]] std::optional<ReplyFrame> serve_frame(
+      const std::vector<std::uint8_t>& request_frame, std::uint64_t tick);
 
   /// Encode-once/fan-out update serving: takes an ENCODED v3 or v4 update
   /// request frame (tag 0x33 or 0x41), dispatches to the matching fetch_*

@@ -235,6 +235,9 @@ bool Server::restore_sections(const storage::ParsedSnapshot& snapshot,
   lists_ = std::move(restored);
   query_log_.clear();
   invalidate_snapshot();
+  // Republish now, single-threaded, as seal_chunk does, so a resumed
+  // engine's parallel tick never races to rebuild the snapshot.
+  (void)lookup_snapshot();
   return true;
 }
 

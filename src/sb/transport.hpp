@@ -10,15 +10,19 @@
 // bytes_up/bytes_down are true wire sizes and nothing that is not in a
 // frame can cross the boundary.
 //
-// Two implementations share the abstract interface:
-//   * InProcessTransport (this file) -- the deterministic golden path: the
-//     frame round-trips through encode/decode in one address space and the
-//     server is called directly. It advances a simulated tick clock to
-//     model network latency (the Lookup API was deprecated partly for its
-//     per-request round-trip, Section 2.2) and offers a wire tap so
-//     experiments can observe traffic like a network-level eavesdropper.
-//   * net::SocketTransport (src/net/socket_transport.hpp) -- the same
-//     frames over a real TCP/Unix socket to a running sbserved daemon.
+// There is one frame path. FrameTransport owns the client half: each
+// typed endpoint encodes its request, hands the bytes to a single virtual
+// exchange(), decodes the reply and counts the outcome (TransportStats,
+// obs) in one place. Server::serve_frame owns the server half: it decodes
+// a request frame, serves it and encodes the reply. Two exchanges plug in:
+//   * InProcessTransport (this file) -- the deterministic golden path:
+//     exchange() calls Server::serve_frame in the same address space. It
+//     advances a simulated tick clock to model network latency (the
+//     Lookup API was deprecated partly for its per-request round-trip,
+//     Section 2.2) and can inject failures.
+//   * net::SocketTransport (src/net/socket_transport.hpp) -- exchange()
+//     carries the frame over a real TCP/Unix socket to a running sbserved,
+//     whose net::Daemon calls the same Server::serve_frame.
 //
 // ProtocolClient and every mitigation talk to the abstract Transport only,
 // so they work unchanged over either.
@@ -29,8 +33,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -67,6 +71,11 @@ struct TransportStats {
   /// bytes-per-resync exactly (bench_update_churn).
   std::uint64_t update_bytes_up = 0;
   std::uint64_t update_bytes_down = 0;
+
+  /// Counts one served request on `channel` (request counter, bytes,
+  /// update_bytes_* share): the only channel-to-field mapping.
+  void count(obs::Channel channel, std::uint64_t up,
+             std::uint64_t down) noexcept;
 
   TransportStats& operator+=(const TransportStats& other) noexcept {
     full_hash_requests += other.full_hash_requests;
@@ -137,23 +146,52 @@ class Transport {
  protected:
   explicit Transport(SimClock& clock) : clock_(clock) {}
 
-  /// Records one successful request on `channel` when obs is attached.
-  void record_obs(obs::Channel channel, std::uint64_t bytes_up,
-                  std::uint64_t bytes_down, std::uint64_t start_ns) noexcept {
-    if (obs_ == nullptr) return;
-    obs_->channel(channel).record(bytes_up, bytes_down,
-                                  obs::now_ns() - start_ns);
-  }
-
   SimClock& clock_;
   TransportStats stats_;
   obs::TransportObs* obs_ = nullptr;
 };
 
+/// The four typed endpoints implemented once over a single byte-level
+/// exchange(). Every call counts exactly one outcome: a decoded reply
+/// counts the channel's request and frame bytes (TransportStats::count)
+/// and records obs; anything else -- a refused, lost or undecodable
+/// exchange -- counts failed_requests only and returns nullopt.
+class FrameTransport : public Transport {
+ public:
+  [[nodiscard]] std::optional<FullHashResponse> get_full_hashes_or_error(
+      const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) final;
+  [[nodiscard]] std::optional<UpdateResponse> fetch_update_or_error(
+      const UpdateRequest& request) final;
+  [[nodiscard]] std::optional<V4UpdateResponse> fetch_v4_update_or_error(
+      const V4UpdateRequest& request) final;
+  [[nodiscard]] std::optional<bool> lookup_v1_or_error(std::string_view url,
+                                                       Cookie cookie) final;
+
+ protected:
+  using Transport::Transport;
+
+  /// Delivers one encoded request frame on `channel` and returns the
+  /// encoded reply; nullopt when the request failed before a reply frame
+  /// came back.
+  [[nodiscard]] virtual std::optional<ReplyFrame> exchange(
+      obs::Channel channel, const std::vector<std::uint8_t>& request_frame) = 0;
+
+  /// Called when a reply frame came back but did not decode.
+  virtual void reply_undecodable(obs::Channel /*channel*/) {}
+
+ private:
+  /// Times from `encode` (the request's encoding) to the decoded reply.
+  template <class Response, class Encode>
+  std::optional<Response> round_trip(
+      obs::Channel channel, Encode encode,
+      std::optional<Response> (*decode)(std::span<const std::uint8_t>));
+};
+
 /// The in-process reference transport: frames round-trip through the wire
-/// codecs in one address space and sb::Server is called directly. This is
-/// the deterministic golden path every networked run is compared against.
-class InProcessTransport final : public Transport {
+/// codecs in one address space and Server::serve_frame answers them. This
+/// is the deterministic golden path every networked run is compared
+/// against.
+class InProcessTransport final : public FrameTransport {
  public:
   /// Latencies are in clock ticks per round trip. With
   /// `round_trip_ticks == 0` the transport never writes the clock, so many
@@ -161,16 +199,7 @@ class InProcessTransport final : public Transport {
   /// from concurrent threads -- they only read it.
   InProcessTransport(Server& server, SimClock& clock,
                      std::uint64_t round_trip_ticks = 50)
-      : Transport(clock), server_(server), round_trip_(round_trip_ticks) {}
-
-  [[nodiscard]] std::optional<FullHashResponse> get_full_hashes_or_error(
-      const std::vector<crypto::Prefix32>& prefixes, Cookie cookie) override;
-  [[nodiscard]] std::optional<UpdateResponse> fetch_update_or_error(
-      const UpdateRequest& request) override;
-  [[nodiscard]] std::optional<V4UpdateResponse> fetch_v4_update_or_error(
-      const V4UpdateRequest& request) override;
-  [[nodiscard]] std::optional<bool> lookup_v1_or_error(std::string_view url,
-                                                       Cookie cookie) override;
+      : FrameTransport(clock), server_(server), round_trip_(round_trip_ticks) {}
 
   /// Failure injection: the next `n` requests of each kind fail at the
   /// network level. Used to exercise the client's backoff (Section 2.2.1's
@@ -179,18 +208,15 @@ class InProcessTransport final : public Transport {
   void inject_update_failures(unsigned n) { fail_updates_ = n; }
   void inject_v1_failures(unsigned n) { fail_v1_ = n; }
 
-  [[nodiscard]] Server& server() noexcept { return server_; }
-
-  /// Wire tap invoked with every full-hash request (prefix list + cookie)
-  /// as decoded from the frame, before the server processes it.
-  using FullHashTap =
-      std::function<void(Cookie, const std::vector<crypto::Prefix32>&)>;
-  void set_full_hash_tap(FullHashTap tap) { tap_ = std::move(tap); }
-
  private:
+  /// Advances the clock one round trip, drops the request if a failure is
+  /// injected for its kind, else serves it at the advanced tick.
+  std::optional<ReplyFrame> exchange(
+      obs::Channel channel,
+      const std::vector<std::uint8_t>& request_frame) override;
+
   Server& server_;
   std::uint64_t round_trip_;
-  FullHashTap tap_;
   unsigned fail_full_hashes_ = 0;
   unsigned fail_updates_ = 0;
   unsigned fail_v1_ = 0;

@@ -7,8 +7,11 @@
 // fast with nullopt + failed_requests, never crashes or blocks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -252,6 +255,75 @@ TEST(DaemonTest, ShutdownDrainsPendingResponses) {
   ASSERT_TRUE(read_exact(peer.get(), payload.data(), payload.size()));
   EXPECT_TRUE(sb::wire::decode_full_hash_response(payload).has_value());
 
+  std::remove(path.c_str());
+}
+
+TEST(DaemonTest, PeerThatPipelinesAndNeverReadsIsBoundedByTheHighWaterMark) {
+  // A peer writes many update requests and reads none of the replies.
+  // The daemon must stop serving it once kOutputHighWaterBytes of replies
+  // are queued, rather than grow the connection's output without limit,
+  // and serve the rest once the peer starts reading.
+  Harness harness;
+  for (int i = 0; i < 20000; ++i) {
+    harness.server.add_expression("goog-malware-shavar",
+                                  "bulk" + std::to_string(i) + ".example/");
+  }
+  harness.server.seal_chunk("goog-malware-shavar");
+  const std::string path = test_socket_path("backpressure");
+  harness.listen("unix:" + path);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const auto request =
+      sb::wire::encode_update_request({{{"goog-malware-shavar", {}, {}}}});
+  const std::size_t reply_bytes =
+      kEnvelopeHeaderBytes +
+      harness.server.encoded_update_response(request)->size();
+  // Enough replies to fill the mark twice over, kernel buffers aside.
+  const std::size_t requests = 2 * kOutputHighWaterBytes / reply_bytes + 64;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < requests; ++i) {
+    const auto envelope = encode_envelope(i, request);
+    burst.insert(burst.end(), envelope.begin(), envelope.end());
+  }
+  Fd peer = connect_to("unix:" + path);
+  ASSERT_TRUE(write_all(peer.get(), burst.data(), burst.size()));
+  harness.pump();
+
+  const std::size_t pending = harness.daemon.pending_output_bytes();
+  EXPECT_GT(pending, 0u);
+  EXPECT_LE(pending, kOutputHighWaterBytes + reply_bytes);
+  EXPECT_LT(harness.daemon.stats().frames_served, requests);
+  EXPECT_EQ(harness.daemon.snapshot().counters.counter("output_pending_bytes")
+                .value,
+            pending);
+
+  // Once the peer reads, every request is answered, in order. (A receive
+  // timeout turns a stalled daemon into a failure, not a hang.)
+  const timeval receive_timeout{10, 0};
+  ASSERT_EQ(::setsockopt(peer.get(), SOL_SOCKET, SO_RCVTIMEO,
+                         &receive_timeout, sizeof(receive_timeout)),
+            0);
+  std::atomic<bool> stop{false};
+  std::thread loop([&] {
+    while (!stop.load()) harness.daemon.poll_once(/*timeout_ms=*/2);
+  });
+  std::size_t answered = 0;
+  for (; answered < requests; ++answered) {
+    std::uint8_t header[kEnvelopeHeaderBytes];
+    if (!read_exact(peer.get(), header, sizeof(header))) break;
+    std::uint64_t tick = 0;
+    for (int b = 7; b >= 0; --b) tick = tick << 8 | header[4 + b];
+    if (tick != answered) break;
+    std::vector<std::uint8_t> payload(envelope_payload_length(header));
+    if (!read_exact(peer.get(), payload.data(), payload.size())) break;
+  }
+  stop.store(true);
+  loop.join();
+  EXPECT_EQ(answered, requests);
+  EXPECT_EQ(harness.daemon.stats().frames_served, requests);
+  EXPECT_EQ(harness.daemon.pending_output_bytes(), 0u);
+
+  harness.daemon.shutdown();
   std::remove(path.c_str());
 }
 

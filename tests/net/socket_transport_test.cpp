@@ -107,9 +107,9 @@ TEST(SocketTransportPoisonTest, PoisonFreezesEveryCounterExceptFailures) {
   ASSERT_GT(transport.stats().bytes_up, 0u);
   ASSERT_GT(transport.stats().bytes_down, 0u);
 
-  // Daemon dies. The first request after death is a genuine wire attempt:
-  // the frame is encoded and counted before the write fails, so
-  // full_hash_requests and bytes_up may advance one last time.
+  // Daemon dies. The first request after death is a genuine wire attempt
+  // that fails mid-exchange; like every failed request it counts
+  // failed_requests only.
   harness.daemon.shutdown(/*drain_ms=*/100);
   EXPECT_FALSE(
       transport.get_full_hashes_or_error({0x01020304}, 2).has_value());

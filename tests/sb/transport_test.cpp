@@ -65,31 +65,6 @@ TEST_F(TransportTest, V4UpdateBytesAreEncodedFrameSizes) {
             wire::encode_v4_update_response(*response).size());
 }
 
-TEST_F(TransportTest, TapSeesRequestsBeforeServer) {
-  Cookie tapped_cookie = 0;
-  std::vector<crypto::Prefix32> tapped_prefixes;
-  transport_.set_full_hash_tap(
-      [&](Cookie cookie, const std::vector<crypto::Prefix32>& prefixes) {
-        tapped_cookie = cookie;
-        tapped_prefixes = prefixes;
-      });
-  (void)transport_.get_full_hashes({0xAA, 0xBB}, 42);
-  EXPECT_EQ(tapped_cookie, 42u);
-  EXPECT_EQ(tapped_prefixes, (std::vector<crypto::Prefix32>{0xAA, 0xBB}));
-}
-
-TEST_F(TransportTest, TapNotCalledOnInjectedFailure) {
-  int taps = 0;
-  transport_.set_full_hash_tap(
-      [&](Cookie, const std::vector<crypto::Prefix32>&) { ++taps; });
-  transport_.inject_full_hash_failures(1);
-  EXPECT_FALSE(transport_.get_full_hashes_or_error({0x1}, 1).has_value());
-  EXPECT_EQ(taps, 0);
-  // Next request goes through.
-  EXPECT_TRUE(transport_.get_full_hashes_or_error({0x1}, 1).has_value());
-  EXPECT_EQ(taps, 1);
-}
-
 TEST_F(TransportTest, FailureStillAdvancesClock) {
   transport_.inject_update_failures(1);
   (void)transport_.fetch_update_or_error({});

@@ -1,8 +1,9 @@
 // Robustness fuzzing of the wire formats: random byte soup must never
 // crash, hang, or be accepted as valid protocol data beyond what the
 // format allows. Covers the legacy chunk/database formats AND every
-// protocol frame type (v1 lookup, v3 update, full-hash, v4 sliced update):
-// random soup, truncations of valid frames, and single-byte corruption.
+// protocol frame type (v1 lookup, v3 update, full-hash, v4 sliced update),
+// and Server::serve_frame on the same inputs: random soup, truncations of
+// valid frames, and single-byte corruption.
 // Deterministic seeds keep failures reproducible.
 #include <gtest/gtest.h>
 
@@ -143,6 +144,30 @@ void exercise_all_decoders(std::span<const std::uint8_t> bytes) {
     EXPECT_TRUE(wire::decode_v4_update_response(
                     wire::encode_v4_update_response(*v))
                     .has_value());
+  }
+
+  // The server's frame dispatcher sees the same soup: it answers exactly
+  // the frames a request decoder accepts, with a reply that decodes.
+  static Server server = [] {
+    Server seeded;
+    seeded.add_expression("goog-malware-shavar", "evil.example/");
+    seeded.seal_chunk("goog-malware-shavar");
+    return seeded;
+  }();
+  const bool is_request = wire::decode_v1_lookup_request(bytes) ||
+                          wire::decode_full_hash_request(bytes) ||
+                          wire::decode_update_request(bytes) ||
+                          wire::decode_v4_update_request(bytes);
+  const auto reply = server.serve_frame({bytes.begin(), bytes.end()}, 1);
+  EXPECT_EQ(reply.has_value(), is_request);
+  if (reply) {
+    const auto answer = reply->bytes();
+    const bool decodes =
+        wire::decode_v1_lookup_response(answer) ||
+        wire::decode_full_hash_response(answer) ||
+        wire::decode_update_response(answer) ||
+        wire::decode_v4_update_response(answer);
+    EXPECT_TRUE(decodes);
   }
 }
 
