@@ -32,12 +32,16 @@ std::size_t Daemon::poll_once(int timeout_ms) {
     fds.push_back({listener.get(), POLLIN, 0});
   }
   for (std::size_t c = 0; c < polled_connections; ++c) {
-    const std::size_t pending = connections_[c]->pending();
-    // Above the high-water mark the peer is not reading its replies:
-    // stop taking requests until the output drains below the mark.
-    short events = pending < kOutputHighWaterBytes ? POLLIN : 0;
+    const Connection& connection = *connections_[c];
+    const std::size_t pending = connection.pending();
+    // Above the output mark the peer is not reading its replies, above
+    // the input mark it is out-running the serve loop: take no more
+    // requests until the marks are cleared.
+    const bool readable =
+        pending < kOutputHighWaterBytes && !connection.input_full();
+    short events = readable ? POLLIN : 0;
     if (pending > 0) events |= POLLOUT;
-    fds.push_back({connections_[c]->fd.get(), events, 0});
+    fds.push_back({connection.fd.get(), events, 0});
   }
   if (fds.empty()) return 0;
 
@@ -83,7 +87,7 @@ void Daemon::accept_ready(std::size_t listener_index) {
 
 void Daemon::read_ready(Connection& connection) {
   std::uint8_t buffer[64 * 1024];
-  for (;;) {
+  while (!connection.input_full()) {
     const ssize_t got = ::read(connection.fd.get(), buffer, sizeof(buffer));
     if (got < 0) {
       if (errno == EINTR) continue;
@@ -167,6 +171,14 @@ std::size_t Daemon::pending_output_bytes() const noexcept {
   return total;
 }
 
+std::size_t Daemon::buffered_input_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& connection : connections_) {
+    total += connection->decoder.buffered();
+  }
+  return total;
+}
+
 void Daemon::close_broken() {
   for (auto it = connections_.begin(); it != connections_.end();) {
     if ((*it)->broken) {
@@ -220,6 +232,7 @@ obs::Snapshot Daemon::snapshot() const {
   counters.counter("frames_served").value = stats_.frames_served;
   counters.counter("decode_errors").value = stats_.decode_errors;
   counters.counter("output_pending_bytes").value = pending_output_bytes();
+  counters.counter("input_buffered_bytes").value = buffered_input_bytes();
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
   return snapshot;

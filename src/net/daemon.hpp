@@ -17,7 +17,10 @@
 // flushing for short writes. Output is bounded: once a connection holds
 // kOutputHighWaterBytes of unsent replies (a peer that pipelines requests
 // and never reads), the daemon stops reading and serving its requests
-// until the output drains below the mark. A connection that sends
+// until the output drains below the mark. Input is bounded the same way:
+// once kInputHighWaterBytes of requests wait unserved, the daemon stops
+// reading the connection until serving them brings it below the mark.
+// A connection that sends
 // garbage (envelope oversize, undecodable frame, unknown tag) is counted
 // in stats().decode_errors and closed -- never crashes the daemon. EINTR
 // at any syscall is retried (poll: treated as a timeout); callers are
@@ -53,6 +56,13 @@ namespace sbp::net {
 /// until its peer drains it below the mark; a connection's output is thus
 /// bounded by the mark plus one reply.
 inline constexpr std::size_t kOutputHighWaterBytes = 4u << 20;
+
+/// The input twin: buffered request bytes at which a connection stops
+/// being read while they hold a complete request still waiting to be
+/// served. A connection's input is thus bounded by the mark plus one
+/// envelope plus one read; the peer's further requests wait in the
+/// kernel.
+inline constexpr std::size_t kInputHighWaterBytes = 256u << 10;
 
 /// Daemon-level counters (wire totals live in transport_stats()).
 struct DaemonStats {
@@ -98,6 +108,8 @@ class Daemon {
   [[nodiscard]] const DaemonStats& stats() const noexcept { return stats_; }
   /// Reply bytes queued but not yet written, over every connection.
   [[nodiscard]] std::size_t pending_output_bytes() const noexcept;
+  /// Request bytes read but not yet served, over every connection.
+  [[nodiscard]] std::size_t buffered_input_bytes() const noexcept;
   [[nodiscard]] const sb::TransportStats& transport_stats() const noexcept {
     return wire_;
   }
@@ -122,11 +134,15 @@ class Daemon {
     [[nodiscard]] std::size_t pending() const noexcept {
       return out.size() - out_offset;
     }
+    /// At the input mark with a request ready to serve: read no more.
+    [[nodiscard]] bool input_full() const noexcept {
+      return decoder.buffered() >= kInputHighWaterBytes && decoder.ready();
+    }
   };
 
   void accept_ready(std::size_t listener_index);
-  /// Reads everything available into the decoder. Marks the connection
-  /// broken on EOF/error.
+  /// Reads what is available into the decoder, up to the input mark.
+  /// Marks the connection broken on EOF/error.
   void read_ready(Connection& connection);
   /// Serves buffered envelopes while the output is below the high-water
   /// mark, then flushes. Marks the connection broken on garbage.

@@ -43,29 +43,50 @@ std::uint32_t envelope_payload_length(const std::uint8_t* header) noexcept {
 
 void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
   if (error_) return;  // poisoned: drop everything until the close
+  compact();
   buffer_.insert(buffer_.end(), data, data + n);
 }
 
+void FrameDecoder::compact() {
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(read_));
+  read_ = 0;
+}
+
+bool FrameDecoder::ready() const noexcept {
+  if (error_ || buffered() < kEnvelopeHeaderBytes) return false;
+  const std::uint32_t payload_len =
+      envelope_payload_length(buffer_.data() + read_);
+  return payload_len <= kMaxPayloadBytes &&
+         buffered() >= kEnvelopeHeaderBytes + payload_len;
+}
+
 std::optional<Envelope> FrameDecoder::next() {
-  if (error_ || buffer_.size() < kEnvelopeHeaderBytes) return std::nullopt;
-  const std::uint32_t payload_len = envelope_payload_length(buffer_.data());
+  if (error_ || buffered() < kEnvelopeHeaderBytes) return std::nullopt;
+  const std::uint8_t* head = buffer_.data() + read_;
+  const std::uint32_t payload_len = envelope_payload_length(head);
   if (payload_len > kMaxPayloadBytes) {
     // Nothing is allocated for the bogus length; the stream is
     // unrecoverable (we cannot know where the next frame starts).
     error_ = true;
     buffer_.clear();
     buffer_.shrink_to_fit();
+    read_ = 0;
     return std::nullopt;
   }
   const std::size_t total = kEnvelopeHeaderBytes + payload_len;
-  if (buffer_.size() < total) return std::nullopt;
+  if (buffered() < total) return std::nullopt;
 
   Envelope envelope;
-  envelope.tick = get_u64(buffer_.data() + 4);
-  envelope.payload.assign(buffer_.begin() + kEnvelopeHeaderBytes,
-                          buffer_.begin() + static_cast<std::ptrdiff_t>(total));
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
+  envelope.tick = get_u64(head + 4);
+  envelope.payload.assign(head + kEnvelopeHeaderBytes, head + total);
+  read_ += total;
+  if (read_ == buffer_.size()) {
+    buffer_.clear();
+    read_ = 0;
+  } else if (read_ > buffer_.size() / 2) {
+    compact();
+  }
   return envelope;
 }
 

@@ -69,17 +69,27 @@ class FrameDecoder {
   /// holds only a partial one (or the decoder is poisoned).
   [[nodiscard]] std::optional<Envelope> next();
 
+  /// True when next() would yield an envelope.
+  [[nodiscard]] bool ready() const noexcept;
+
   /// True once a frame declared an oversize payload; the stream cannot be
   /// re-synchronized and the connection must be dropped.
   [[nodiscard]] bool error() const noexcept { return error_; }
 
-  /// Bytes currently buffered (tests).
+  /// Bytes fed but not yet consumed by next().
   [[nodiscard]] std::size_t buffered() const noexcept {
-    return buffer_.size();
+    return buffer_.size() - read_;
   }
 
  private:
+  /// Drops the consumed prefix [0, read_).
+  void compact();
+
+  // Envelopes are consumed by advancing read_; the consumed prefix is
+  // dropped once per feed() or when it passes half the buffer, so a burst
+  // of N envelopes costs O(bytes), not O(N x buffered bytes).
   std::vector<std::uint8_t> buffer_;
+  std::size_t read_ = 0;
   bool error_ = false;
 };
 

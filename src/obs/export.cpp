@@ -195,6 +195,18 @@ std::string summary_table(const Snapshot& snapshot) {
     out += line;
   }
 
+  // Shared client list states (the engine's per-shard memos).
+  const auto* live = snapshot.counters.find("list_db_live_states");
+  const auto* hits = snapshot.counters.find("list_db_memo_hits");
+  const auto* misses = snapshot.counters.find("list_db_memo_misses");
+  if (live != nullptr && hits != nullptr && misses != nullptr) {
+    std::snprintf(line, sizeof line,
+                  "list_db: live=%.0f hits=%" PRIu64 " misses=%" PRIu64 "\n",
+                  live->gauge.value, hits->counter.value,
+                  misses->counter.value);
+    out += line;
+  }
+
   for (std::size_t i = 0; i < kChannelCount; ++i) {
     const ChannelStats& stats = snapshot.transport.channels[i];
     if (stats.requests == 0) continue;

@@ -1,121 +1,39 @@
 #include "sb/client.hpp"
 
-#include <algorithm>
-#include <limits>
-
 namespace sbp::sb {
 
-Client::Client(Transport& transport, ClientConfig config)
-    : PrefixProtocolClient(transport, config),
-      update_backoff_(config.backoff, config.cookie) {}
-
-void Client::subscribe(std::string_view list_name) {
-  for (const auto& state : lists_) {
-    if (state.name == list_name) return;
-  }
-  ListState state;
-  state.name = std::string(list_name);
-  lists_.push_back(std::move(state));
-  rebuild_store(lists_.back());
-}
-
-void Client::rebuild_store(ListState& state) {
-  // effective_prefixes_into yields a sorted, deduplicated set, so the
-  // batch can adopt it directly; all three buffers are member scratch,
-  // reused across rebuilds.
-  state.chunks.effective_prefixes_into(
-      std::numeric_limits<std::uint32_t>::max(), rebuild_prefixes_,
-      rebuild_subs_);
-  rebuild_batch_.assign_sorted32(rebuild_prefixes_);
-  state.store = storage::make_store(config_.store_kind, rebuild_batch_,
-                                    config_.bloom_bits);
-}
-
 bool Client::update() {
-  ++metrics_.updates_attempted;
-  const std::uint64_t now = transport_.clock().now();
-  if (!update_backoff_.can_request(now)) {
-    ++metrics_.backoff_suppressed;
-    return false;
-  }
+  if (!begin_update()) return false;
 
   UpdateRequest request;
-  for (const auto& state : lists_) {
+  for (const auto& list : lists_) {
     UpdateRequest::ListState list_state;
-    list_state.list_name = state.name;
-    for (const Chunk& c : state.chunks.adds()) {
-      list_state.add_chunks.push_back(c.number);
-    }
-    for (const Chunk& c : state.chunks.subs()) {
-      list_state.sub_chunks.push_back(c.number);
+    list_state.list_name = list.name;
+    if (list.db) {
+      for (const Chunk& c : list.db->chunks.adds()) {
+        list_state.add_chunks.push_back(c.number);
+      }
+      for (const Chunk& c : list.db->chunks.subs()) {
+        list_state.sub_chunks.push_back(c.number);
+      }
     }
     request.lists.push_back(std::move(list_state));
   }
 
   const auto response = transport_.fetch_update_or_error(request);
-  if (!response) {
-    ++metrics_.updates_failed;
-    update_backoff_.on_error(transport_.clock().now());
+  if (!finish_update(response.has_value(),
+                     response ? response->next_update_after : 0)) {
     return false;
   }
-  update_backoff_.on_success(transport_.clock().now(),
-                             response->next_update_after);
   for (const auto& update : response->lists) {
-    for (auto& state : lists_) {
-      if (state.name != update.list_name) continue;
-      for (const Chunk& chunk : update.chunks) {
-        state.chunks.apply(chunk);
-      }
-      rebuild_store(state);
+    for (auto& list : lists_) {
+      if (list.name != update.list_name) continue;
+      list.db = memo_->apply_chunks(list.db, config_.store_kind,
+                                    config_.bloom_bits, update.chunks);
     }
   }
   cache_.clear();  // an update discards cached full digests
   return true;
-}
-
-bool Client::local_contains(crypto::Prefix32 prefix) const {
-  // Scalar convenience for tests/tools; delegates to the batch path so
-  // there is exactly one membership implementation.
-  bool hit = false;
-  local_contains_many(std::span<const crypto::Prefix32>(&prefix, 1),
-                      std::span<bool>(&hit, 1));
-  return hit;
-}
-
-void Client::local_contains_many(std::span<const crypto::Prefix32> prefixes,
-                                 std::span<bool> out) const {
-  const std::size_t n = prefixes.size();
-  std::fill(out.begin(), out.begin() + n, false);
-  // OR each list store's batch answer into `out`, 64 queries at a time
-  // (stack scratch; batches above 64 are split, preserving order).
-  bool tmp[64];
-  for (const auto& state : lists_) {
-    if (!state.store) continue;
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::size_t count = std::min<std::size_t>(64, n - base);
-      state.store->contains_many32(prefixes.subspan(base, count),
-                                   std::span<bool>(tmp, count));
-      for (std::size_t i = 0; i < count; ++i) {
-        out[base + i] = out[base + i] || tmp[i];
-      }
-    }
-  }
-}
-
-std::size_t Client::local_prefix_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& state : lists_) {
-    if (state.store) total += state.store->size();
-  }
-  return total;
-}
-
-std::size_t Client::local_store_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const auto& state : lists_) {
-    if (state.store) total += state.store->memory_bytes();
-  }
-  return total;
 }
 
 }  // namespace sbp::sb

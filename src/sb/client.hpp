@@ -7,79 +7,40 @@
 // (subject to the full-hash cache), attaching its SB cookie -- this is the
 // privacy-critical transmission the paper analyzes. The verdict is
 // malicious only if a returned full digest equals the full digest of one of
-// the URL's decompositions. (The flow itself lives in
-// sb::PrefixProtocolClient -- v4 shares it; this class contributes the v3
-// local database: shavar chunks rebuilt into prefix stores.)
+// the URL's decompositions. (The flow and the local database live in
+// sb::PrefixProtocolClient -- v4 shares them; this class contributes the
+// v3 update: it advertises each list's applied chunk numbers, and the
+// chunks the server sends move the list to its next shared state, whose
+// shavar chunks and rebuilt prefix store the memo builds once for every
+// client making the same move -- see sb/list_db.hpp.)
 //
 // The local store backend is configurable (raw / delta-coded / Bloom,
 // Section 2.2.2); with Bloom, local hits can be intrinsic false positives,
 // which turn into extra full-hash traffic but never wrong verdicts.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
-#include <vector>
 
-#include "crypto/digest.hpp"
 #include "sb/protocol.hpp"
-#include "storage/prefix_store.hpp"
 
 namespace sbp::sb {
 
 class Client : public PrefixProtocolClient {
  public:
-  Client(Transport& transport, ClientConfig config);
+  Client(Transport& transport, ClientConfig config,
+         std::shared_ptr<ListDbMemo> memo = nullptr)
+      : PrefixProtocolClient(transport, config, std::move(memo)) {}
 
   [[nodiscard]] ProtocolVersion version() const noexcept override {
     return ProtocolVersion::kV3Chunked;
   }
 
-  /// Subscribes to a server list; call update() to populate it.
-  void subscribe(std::string_view list_name) override;
-
-  /// Syncs all subscribed lists via the chunked update protocol and rebuilds
-  /// the local stores. Clears the full-hash cache (paper Section 2.2.1:
-  /// cached digests are kept "until an update discards them").
-  /// Returns false when the update was withheld by backoff or failed at the
-  /// network level (backoff state advances accordingly).
+  /// Syncs all subscribed lists via the chunked update protocol. Clears
+  /// the full-hash cache (paper Section 2.2.1: cached digests are kept
+  /// "until an update discards them"). Returns false when the update was
+  /// withheld by backoff or failed at the network level (backoff state
+  /// advances accordingly).
   bool update() override;
-
-  [[nodiscard]] std::uint64_t update_wait(
-      std::uint64_t now) const noexcept override {
-    return update_backoff_.wait_time(now);
-  }
-
-  /// Local-store membership only (no network) -- used by mitigation
-  /// strategies that re-order server queries and by tests. Hot paths (the
-  /// engine prefilter, the lookup flow) go through local_contains_many.
-  [[nodiscard]] bool local_contains(crypto::Prefix32 prefix) const override;
-
-  /// Batch membership across all subscribed lists' stores (OR of each
-  /// store's sorted-probe answer) -- bit-identical to the scalar test.
-  void local_contains_many(std::span<const crypto::Prefix32> prefixes,
-                           std::span<bool> out) const override;
-
-  [[nodiscard]] std::size_t local_prefix_count() const noexcept override;
-  [[nodiscard]] std::size_t local_store_bytes() const noexcept override;
-
- private:
-  struct ListState {
-    std::string name;
-    ChunkStore chunks;
-    std::unique_ptr<storage::PrefixStore> store;  // rebuilt on update
-  };
-
-  void rebuild_store(ListState& state);
-
-  std::vector<ListState> lists_;
-  BackoffState update_backoff_;
-  // Rebuild scratch, reused across updates so periodic re-syncs stop
-  // churning the heap (the profiled resync hotspot).
-  std::vector<crypto::Prefix32> rebuild_prefixes_;
-  std::vector<crypto::Prefix32> rebuild_subs_;
-  storage::PrefixBatch rebuild_batch_{4};
 };
 
 /// The v3 generation under its protocol-family name.

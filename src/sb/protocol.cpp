@@ -3,12 +3,90 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "sb/client.hpp"
 #include "sb/lookup_api.hpp"
 #include "sb/protocol_v4.hpp"
 
 namespace sbp::sb {
+
+PrefixProtocolClient::PrefixProtocolClient(Transport& transport,
+                                           ClientConfig config,
+                                           std::shared_ptr<ListDbMemo> memo)
+    : ProtocolClient(transport, config),
+      memo_(memo ? std::move(memo) : std::make_shared<ListDbMemo>()),
+      cache_(config.full_hash_ttl),
+      full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B),
+      update_backoff_(config.backoff, config.cookie) {}
+
+void PrefixProtocolClient::subscribe(std::string_view list_name) {
+  for (const auto& list : lists_) {
+    if (list.name == list_name) return;
+  }
+  lists_.push_back({std::string(list_name), nullptr});
+}
+
+bool PrefixProtocolClient::begin_update() {
+  ++metrics_.updates_attempted;
+  if (update_backoff_.can_request(transport_.clock().now())) return true;
+  ++metrics_.backoff_suppressed;
+  return false;
+}
+
+bool PrefixProtocolClient::finish_update(bool answered, std::uint64_t wait) {
+  const std::uint64_t now = transport_.clock().now();
+  if (!answered) {
+    ++metrics_.updates_failed;
+    update_backoff_.on_error(now);
+    return false;
+  }
+  update_backoff_.on_success(now, wait);
+  return true;
+}
+
+void PrefixProtocolClient::local_contains_many(
+    std::span<const crypto::Prefix32> prefixes, std::span<bool> out) const {
+  const std::size_t n = prefixes.size();
+  std::fill(out.begin(), out.begin() + n, false);
+  // OR each list's batch answer into `out`, 64 queries at a time (stack
+  // scratch; batches above 64 are split, preserving order).
+  bool tmp[64];
+  for (const auto& list : lists_) {
+    if (!list.db) continue;
+    for (std::size_t base = 0; base < n; base += 64) {
+      const std::size_t count = std::min<std::size_t>(64, n - base);
+      list.db->contains_many32(prefixes.subspan(base, count),
+                               std::span<bool>(tmp, count));
+      for (std::size_t i = 0; i < count; ++i) {
+        out[base + i] = out[base + i] || tmp[i];
+      }
+    }
+  }
+}
+
+std::size_t PrefixProtocolClient::local_prefix_count() const noexcept {
+  std::size_t total = 0;
+  for (const auto& list : lists_) {
+    if (list.db) total += list.db->size();
+  }
+  return total;
+}
+
+std::size_t PrefixProtocolClient::local_store_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& list : lists_) {
+    if (list.db) total += list.db->memory_bytes();
+  }
+  return total;
+}
+
+ListDbPtr PrefixProtocolClient::list_db(std::string_view list_name) const {
+  for (const auto& list : lists_) {
+    if (list.name == list_name) return list.db;
+  }
+  return nullptr;
+}
 
 LookupResult PrefixProtocolClient::lookup(const LookupRequest& request) {
   ++metrics_.lookups;
@@ -127,17 +205,19 @@ LookupResult PrefixProtocolClient::lookup(const LookupRequest& request) {
   return result;
 }
 
-std::unique_ptr<ProtocolClient> make_protocol_client(Transport& transport,
-                                                     ClientConfig config) {
+std::unique_ptr<ProtocolClient> make_protocol_client(
+    Transport& transport, ClientConfig config,
+    std::shared_ptr<ListDbMemo> memo) {
   switch (config.protocol) {
     case ProtocolVersion::kV1Lookup:
       return std::make_unique<V1LookupProtocol>(transport, config);
     case ProtocolVersion::kV3Chunked:
-      return std::make_unique<Client>(transport, config);
+      break;
     case ProtocolVersion::kV4Sliced:
-      return std::make_unique<V4SlicedProtocol>(transport, config);
+      return std::make_unique<V4SlicedProtocol>(transport, config,
+                                                std::move(memo));
   }
-  return std::make_unique<Client>(transport, config);
+  return std::make_unique<Client>(transport, config, std::move(memo));
 }
 
 }  // namespace sbp::sb

@@ -9,20 +9,24 @@
 // (simulation engine, mitigations, experiments) is generation-agnostic;
 // everything below it speaks serialized wire frames through Transport.
 //
-// PrefixProtocolClient factors out the prefix-based lookup flow shared by
-// v3 and v4 (Figure 3): local-store hit -> full-hash cache -> batched
-// full-hash request with the SB cookie -> digest confirmation. The
-// generations differ only in how the local store is synchronized.
+// PrefixProtocolClient factors out what v3 and v4 share: the local
+// database -- one shared, immutable ListDb per subscribed list, the same
+// object for every client in the same state (sb/list_db.hpp) -- and the
+// prefix-based lookup flow (Figure 3): local-store hit -> full-hash cache
+// -> batched full-hash request with the SB cookie -> digest confirmation.
+// The generations differ only in how a list moves to its next state.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "crypto/digest.hpp"
 #include "sb/backoff.hpp"
+#include "sb/list_db.hpp"
 #include "sb/lookup_request.hpp"
 #include "sb/protocol_version.hpp"
 #include "sb/transport.hpp"
@@ -128,21 +132,22 @@ class ProtocolClient {
     return lookup(scratch_request_);
   }
 
-  /// Local-database membership (no network). v1 has no local database and
-  /// answers true: every URL is a candidate that goes to the wire.
-  /// Interface-level / test entry point -- hot paths use the batch form.
-  [[nodiscard]] virtual bool local_contains(crypto::Prefix32 prefix) const = 0;
-
-  /// Batch local-database membership: out[i] = local_contains(prefixes[i]),
-  /// answered through the stores' sorted-probe batch API. `out` must hold
-  /// prefixes.size() elements. This is the hot-path form the engine
-  /// prefilter and the prefix lookup flow use; the default forwards to the
-  /// scalar test for exotic subclasses.
+  /// Batch local-database membership (no network): out[i] = whether
+  /// prefixes[i] is in the local database, answered through the stores'
+  /// sorted-probe batch API. `out` must hold prefixes.size() elements. v1
+  /// has no local database and answers true: every URL is a candidate
+  /// that goes to the wire. THE membership entry point -- the engine
+  /// prefilter and the prefix lookup flow use it directly.
   virtual void local_contains_many(std::span<const crypto::Prefix32> prefixes,
-                                   std::span<bool> out) const {
-    for (std::size_t i = 0; i < prefixes.size(); ++i) {
-      out[i] = local_contains(prefixes[i]);
-    }
+                                   std::span<bool> out) const = 0;
+
+  /// Scalar convenience over local_contains_many, for tests and cold
+  /// paths.
+  [[nodiscard]] bool local_contains(crypto::Prefix32 prefix) const {
+    bool hit = false;
+    local_contains_many(std::span<const crypto::Prefix32>(&prefix, 1),
+                        std::span<bool>(&hit, 1));
+    return hit;
   }
 
   [[nodiscard]] virtual std::size_t local_prefix_count() const noexcept = 0;
@@ -166,28 +171,68 @@ class ProtocolClient {
   LookupRequest scratch_request_;
 };
 
-/// Shared prefix-based lookup flow (v3 and v4): one batched local-store
-/// test over the request's decomposition prefixes, then resolve hits via
-/// cache or one batched full-hash request and confirm against full
-/// digests. Subclasses provide the local store (local_contains_many) and
-/// the update mechanism.
+/// Shared prefix-based client (v3 and v4): the subscribed lists' synced
+/// states, each a ListDb shared with every client in the same state (see
+/// sb/list_db.hpp); the membership test over them; and the lookup flow --
+/// one batched local-store test over the request's decomposition
+/// prefixes, then resolve hits via cache or one batched full-hash request
+/// and confirm against full digests. Subclasses provide the update
+/// mechanism, moving each list to its next state through the memo.
 class PrefixProtocolClient : public ProtocolClient {
  public:
   using ProtocolClient::lookup;  // keep the string convenience visible
   [[nodiscard]] LookupResult lookup(const LookupRequest& request) override;
 
- protected:
-  PrefixProtocolClient(Transport& transport, ClientConfig config)
-      : ProtocolClient(transport, config),
-        cache_(config.full_hash_ttl),
-        full_hash_backoff_(config.backoff, config.cookie ^ 0x5B5B5B5B) {}
+  /// Subscribes to a server list, starting from the empty state; call
+  /// update() to populate it.
+  void subscribe(std::string_view list_name) final;
 
+  [[nodiscard]] std::uint64_t update_wait(
+      std::uint64_t now) const noexcept final {
+    return update_backoff_.wait_time(now);
+  }
+
+  /// OR over the subscribed lists' batch answers.
+  void local_contains_many(std::span<const crypto::Prefix32> prefixes,
+                           std::span<bool> out) const final;
+  [[nodiscard]] std::size_t local_prefix_count() const noexcept final;
+  [[nodiscard]] std::size_t local_store_bytes() const noexcept final;
+
+  /// The synced state of `list_name`: null when empty or not subscribed.
+  /// Clients in the same state return the same object.
+  [[nodiscard]] ListDbPtr list_db(std::string_view list_name) const;
+
+ protected:
+  /// `memo` interns list states across the clients that share it; null
+  /// gives this client a memo of its own.
+  PrefixProtocolClient(Transport& transport, ClientConfig config,
+                       std::shared_ptr<ListDbMemo> memo);
+
+  /// Counts an update attempt; false (counted as suppressed) while the
+  /// update channel's backoff forbids contacting the server.
+  [[nodiscard]] bool begin_update();
+  /// Records the wire outcome of an update: success honours the server's
+  /// `wait`, a missing reply counts a failure and backs off. Returns
+  /// `answered`.
+  bool finish_update(bool answered, std::uint64_t wait);
+
+  struct ListSlot {
+    std::string name;
+    ListDbPtr db;  ///< null = empty state
+  };
+
+  std::vector<ListSlot> lists_;
+  std::shared_ptr<ListDbMemo> memo_;
   storage::FullHashCache cache_;
   BackoffState full_hash_backoff_;
+  BackoffState update_backoff_;
 };
 
-/// Instantiates the implementation for `config.protocol`.
+/// Instantiates the implementation for `config.protocol`. v3/v4 clients
+/// given the same `memo` share list states; null gives the client a memo
+/// of its own.
 [[nodiscard]] std::unique_ptr<ProtocolClient> make_protocol_client(
-    Transport& transport, ClientConfig config);
+    Transport& transport, ClientConfig config,
+    std::shared_ptr<ListDbMemo> memo = nullptr);
 
 }  // namespace sbp::sb

@@ -1,64 +1,34 @@
 #include "sb/protocol_v4.hpp"
 
-#include <algorithm>
+#include "storage/raw_hash_store.hpp"
 
 namespace sbp::sb {
 
-V4SlicedProtocol::V4SlicedProtocol(Transport& transport, ClientConfig config)
-    : PrefixProtocolClient(transport, config),
-      update_backoff_(config.backoff, config.cookie) {}
-
-void V4SlicedProtocol::subscribe(std::string_view list_name) {
-  for (const auto& state : lists_) {
-    if (state.name == list_name) return;
-  }
-  ListState state;
-  state.name = std::string(list_name);
-  lists_.push_back(std::move(state));
-}
-
 bool V4SlicedProtocol::update() {
-  ++metrics_.updates_attempted;
-  const std::uint64_t now = transport_.clock().now();
-  if (!update_backoff_.can_request(now)) {
-    ++metrics_.backoff_suppressed;
-    return false;
-  }
+  if (!begin_update()) return false;
 
   V4UpdateRequest request;
-  for (const auto& state : lists_) {
-    request.lists.push_back({state.name, state.state});
+  for (const auto& list : lists_) {
+    request.lists.push_back({list.name, list.db ? list.db->state : 0});
   }
 
   const auto response = transport_.fetch_v4_update_or_error(request);
-  if (!response) {
-    ++metrics_.updates_failed;
-    update_backoff_.on_error(transport_.clock().now());
+  // Honor the server-set minimum wait before the next update.
+  if (!finish_update(response.has_value(),
+                     response ? response->minimum_wait : 0)) {
     return false;
   }
-  // Honor the server-set minimum wait before the next update.
-  update_backoff_.on_success(transport_.clock().now(), response->minimum_wait);
 
   bool all_applied = true;
   for (const auto& slice : response->lists) {
-    for (auto& state : lists_) {
-      if (state.name != slice.list_name) continue;
-      bool applied;
-      if (slice.full_reset) {
-        applied = state.store.reset(slice.additions);
-      } else {
-        applied =
-            state.store.apply_slice(slice.removal_indices, slice.additions);
-      }
-      if (!applied || state.store.checksum() != slice.checksum) {
-        // Desynchronized: discard local state so the next update performs
-        // a full resync (the Update API's recovery discipline).
-        state.store.clear();
-        state.state = 0;
+    for (auto& list : lists_) {
+      if (list.name != slice.list_name) continue;
+      list.db = memo_->apply_slice(list.db, slice);
+      if (!list.db) {
+        // Desynchronized: back to the empty state, so the next update
+        // performs a full resync (the Update API's recovery discipline).
         ++metrics_.updates_failed;
         all_applied = false;
-      } else {
-        state.state = slice.new_state;
       }
     }
   }
@@ -66,55 +36,17 @@ bool V4SlicedProtocol::update() {
   return all_applied;
 }
 
-bool V4SlicedProtocol::local_contains(crypto::Prefix32 prefix) const {
-  // Scalar convenience for tests/tools; delegates to the batch path so
-  // there is exactly one membership implementation.
-  bool hit = false;
-  local_contains_many(std::span<const crypto::Prefix32>(&prefix, 1),
-                      std::span<bool>(&hit, 1));
-  return hit;
-}
-
-void V4SlicedProtocol::local_contains_many(
-    std::span<const crypto::Prefix32> prefixes, std::span<bool> out) const {
-  const std::size_t n = prefixes.size();
-  std::fill(out.begin(), out.begin() + n, false);
-  bool tmp[64];
-  for (const auto& state : lists_) {
-    for (std::size_t base = 0; base < n; base += 64) {
-      const std::size_t count = std::min<std::size_t>(64, n - base);
-      state.store.contains_many32(prefixes.subspan(base, count),
-                                  std::span<bool>(tmp, count));
-      for (std::size_t i = 0; i < count; ++i) {
-        out[base + i] = out[base + i] || tmp[i];
-      }
-    }
-  }
-}
-
-std::size_t V4SlicedProtocol::local_prefix_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& state : lists_) total += state.store.size();
-  return total;
-}
-
-std::size_t V4SlicedProtocol::local_store_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const auto& state : lists_) total += state.store.memory_bytes();
-  return total;
-}
-
 std::uint64_t V4SlicedProtocol::list_state(std::string_view list_name) const {
-  for (const auto& state : lists_) {
-    if (state.name == list_name) return state.state;
-  }
-  return 0;
+  const ListDbPtr db = list_db(list_name);
+  return db ? db->state : 0;
 }
 
 std::uint32_t V4SlicedProtocol::list_checksum(
     std::string_view list_name) const {
-  for (const auto& state : lists_) {
-    if (state.name == list_name) return state.store.checksum();
+  for (const auto& list : lists_) {
+    if (list.name != list_name) continue;
+    return list.db ? list.db->raw.checksum()
+                   : storage::RawHashStore::checksum_of({});
   }
   return 0;
 }

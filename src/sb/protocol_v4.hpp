@@ -16,45 +16,37 @@
 //     observes: 32-bit prefixes + cookie + timing) is UNCHANGED from v3 --
 //     which is why the paper's re-identification and tracking analyses
 //     carry over to v4 unmodified (tests/sb/protocol_equivalence_test).
+//
+// The lookup flow and the local database live in sb::PrefixProtocolClient:
+// each list's state -- the sorted raw-hash set and its state token -- is a
+// shared, immutable ListDb (sb/list_db.hpp). A slice moves the list to its
+// next state through the memo, which applies and checks it once for every
+// client making the same move; a desync points this client back at the
+// empty state and never touches the state other clients hold.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <memory>
 #include <string_view>
-#include <vector>
 
 #include "sb/protocol.hpp"
-#include "storage/raw_hash_store.hpp"
 
 namespace sbp::sb {
 
 class V4SlicedProtocol : public PrefixProtocolClient {
  public:
-  V4SlicedProtocol(Transport& transport, ClientConfig config);
+  V4SlicedProtocol(Transport& transport, ClientConfig config,
+                   std::shared_ptr<ListDbMemo> memo = nullptr)
+      : PrefixProtocolClient(transport, config, std::move(memo)) {}
 
   [[nodiscard]] ProtocolVersion version() const noexcept override {
     return ProtocolVersion::kV4Sliced;
   }
 
-  void subscribe(std::string_view list_name) override;
-
   /// Fetches and applies one slice per out-of-date list. Returns false when
   /// withheld (backoff / server minimum wait), failed on the wire, or a
   /// checksum mismatch forced a local reset (the next update full-syncs).
   bool update() override;
-
-  [[nodiscard]] std::uint64_t update_wait(
-      std::uint64_t now) const noexcept override {
-    return update_backoff_.wait_time(now);
-  }
-
-  [[nodiscard]] bool local_contains(crypto::Prefix32 prefix) const override;
-  /// Batch membership across the per-list raw-hash stores (sorted-probe
-  /// advancing binary search) -- bit-identical to the scalar test.
-  void local_contains_many(std::span<const crypto::Prefix32> prefixes,
-                           std::span<bool> out) const override;
-  [[nodiscard]] std::size_t local_prefix_count() const noexcept override;
-  [[nodiscard]] std::size_t local_store_bytes() const noexcept override;
 
   /// State token currently synced for `list_name` (0 = never synced /
   /// reset after desync) -- exposed for tests.
@@ -65,16 +57,6 @@ class V4SlicedProtocol : public PrefixProtocolClient {
   /// when the client has converged on the server's current state (the
   /// churn-convergence check of tests/sim/engine_churn_test.cpp).
   [[nodiscard]] std::uint32_t list_checksum(std::string_view list_name) const;
-
- private:
-  struct ListState {
-    std::string name;
-    std::uint64_t state = 0;
-    storage::RawHashStore store;
-  };
-
-  std::vector<ListState> lists_;
-  BackoffState update_backoff_;
 };
 
 }  // namespace sbp::sb

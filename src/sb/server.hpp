@@ -174,6 +174,8 @@ struct V4SliceUpdate {
   /// FNV-1a over the post-update sorted set; the client verifies it and
   /// resyncs from scratch on mismatch (v4's sha256 checksum, modeled).
   std::uint32_t checksum = 0;
+
+  friend bool operator==(const V4SliceUpdate&, const V4SliceUpdate&) = default;
 };
 
 struct V4UpdateResponse {

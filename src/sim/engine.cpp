@@ -197,7 +197,8 @@ void Engine::build_population() {
     client_config.cookie = user.cookie;
     // Clients bind to their shard's transport: every wire request a user
     // makes counts against (and only touches) shard-local state.
-    user.client = sb::make_protocol_client(*shard.transport, client_config);
+    user.client = sb::make_protocol_client(*shard.transport, client_config,
+                                           shard.list_dbs);
     for (const auto& list : config_.blacklist.lists) {
       user.client->subscribe(list);
     }
@@ -553,6 +554,18 @@ obs::Snapshot Engine::obs_snapshot() const {
       metrics_.url_cache_invalidations;
   counters.counter("update_encode_cache_hits").value =
       server_.update_encode_cache_hits();
+  // Shared client list states, summed over the per-shard memos.
+  std::uint64_t live_states = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_misses = 0;
+  for (const auto& shard : shards_) {
+    live_states += shard->list_dbs->live_states();
+    memo_hits += shard->list_dbs->hits();
+    memo_misses += shard->list_dbs->misses();
+  }
+  counters.gauge("list_db_live_states").set(static_cast<double>(live_states));
+  counters.counter("list_db_memo_hits").value = memo_hits;
+  counters.counter("list_db_memo_misses").value = memo_misses;
 
   snapshot.per_tick = obs_series_;
   return snapshot;

@@ -23,11 +23,12 @@
 //
 // Parallel runtime: the shard is the unit of parallelism. Each shard owns
 // every piece of mutable state a tick touches -- its users, a zero-latency
-// sb::Transport (per-shard wire counters), the URL -> prefix cache, the
-// traffic model's site LRU, a query-log buffer and a tick-metrics
-// accumulator -- so worker threads share only immutable state: the traffic
-// model, the clock (read-only during a tick) and the server's published
-// LookupSnapshot (lock-free reads; see sb/server.hpp). Client re-syncs run
+// sb::Transport (per-shard wire counters), the memo of its clients'
+// shared list states, the URL -> prefix cache, the traffic model's site
+// LRU, a query-log buffer and a tick-metrics accumulator -- so worker
+// threads share only immutable state: the traffic model, the clock
+// (read-only during a tick) and the server's published LookupSnapshot
+// (lock-free reads; see sb/server.hpp). Client re-syncs run
 // inside the parallel phase too: the serial churn epoch seals every list
 // BEFORE the barrier opens, so concurrent updates read frozen server
 // state (the update path itself is mutex-guarded, and its encode-cache
@@ -255,6 +256,12 @@ class Engine {
     /// (e.g. a SocketTransport to a remote daemon).
     std::unique_ptr<sb::Transport> transport;
     TrafficModel::SiteCache site_cache;
+    /// The shard's interned list states (sb/list_db.hpp): its v3/v4
+    /// clients in the same state share one database, built once by the
+    /// first client to reach it. Only the thread ticking the shard
+    /// touches it, so the parallel tick needs no lock.
+    std::shared_ptr<sb::ListDbMemo> list_dbs =
+        std::make_shared<sb::ListDbMemo>();
     std::vector<UserState> users;
     std::unordered_map<std::string, CachedUrl> url_cache;
     sb::QueryLogBuffer log_buffer;
@@ -263,10 +270,11 @@ class Engine {
     /// LOCAL user indices (into `users`) bucketed by re-sync slot: bucket
     /// s holds, ascending, the shard's users polling for updates at ticks
     /// == s (mod resync_cadence()). The re-sync phase runs INSIDE
-    /// tick_shard -- updates touch only shard-owned state (client stores,
-    /// the shard transport) plus the server's lock-free snapshot reads and
-    /// its mutex-guarded update path, and produce no query-log entries, so
-    /// parallelizing them preserves the log and every counter bit-for-bit.
+    /// tick_shard -- updates touch only shard-owned state (clients, the
+    /// list-state memo, the shard transport) plus the server's lock-free
+    /// snapshot reads and its mutex-guarded update path, and produce no
+    /// query-log entries, so parallelizing them preserves the log and
+    /// every counter bit-for-bit.
     /// Empty when churn is off.
     std::vector<std::vector<std::size_t>> resync_slots;
     /// Shard-confined profiling state (only touched with obs enabled):

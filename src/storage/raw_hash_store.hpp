@@ -1,12 +1,13 @@
 // Client-side raw-hash store for the v4 sliced-update protocol.
 //
 // Where v3 clients reassemble their database from numbered chunks, a v4
-// client holds ONE sorted array of 32-bit hash prefixes per list and
-// applies server "slices": removals as indices into the current sorted
-// array, additions as new values (Rice-compressed on the wire). After each
+// list state is ONE sorted array of 32-bit hash prefixes, moved on by
+// server "slices": removals as indices into the current sorted array,
+// additions as new values (Rice-compressed on the wire). After each
 // application the client verifies a checksum of the whole set and, on
 // mismatch, throws its state away and full-syncs -- exactly the Update
-// API's recovery discipline.
+// API's recovery discipline. (Clients in the same state share one store;
+// see sb/list_db.hpp.)
 #pragma once
 
 #include <cstdint>
@@ -30,8 +31,6 @@ class RawHashStore {
   [[nodiscard]] bool apply_slice(
       const std::vector<std::uint32_t>& removal_indices,
       const std::vector<crypto::Prefix32>& additions);
-
-  void clear() noexcept { sorted_.clear(); }
 
   [[nodiscard]] bool contains(crypto::Prefix32 prefix) const noexcept;
 

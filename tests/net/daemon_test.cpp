@@ -7,8 +7,10 @@
 // fast with nullopt + failed_requests, never crashes or blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fcntl.h>
 #include <string>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -16,6 +18,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "crypto/digest.hpp"
 #include "net/daemon.hpp"
 #include "net/frame_codec.hpp"
 #include "net/socket.hpp"
@@ -322,6 +325,109 @@ TEST(DaemonTest, PeerThatPipelinesAndNeverReadsIsBoundedByTheHighWaterMark) {
   EXPECT_EQ(answered, requests);
   EXPECT_EQ(harness.daemon.stats().frames_served, requests);
   EXPECT_EQ(harness.daemon.pending_output_bytes(), 0u);
+
+  harness.daemon.shutdown();
+  std::remove(path.c_str());
+}
+
+TEST(DaemonTest, PeerThatPipelinesWithoutReadingIsBoundedByTheInputMark) {
+  // A peer queues far more requests than the input mark in its socket
+  // and reads no replies. The daemon must stop reading the connection at
+  // kInputHighWaterBytes of unserved requests, rather than take in all
+  // the kernel holds; the rest waits on the peer's side.
+  Harness harness;
+  for (int i = 0; i < 20000; ++i) {
+    harness.server.add_expression("goog-malware-shavar",
+                                  "bulk" + std::to_string(i) + ".example/");
+  }
+  harness.server.seal_chunk("goog-malware-shavar");
+  const std::string path = test_socket_path("input_mark");
+  harness.listen("unix:" + path);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Full-hash requests for 1,024 listed prefixes: ~4 KB each, answered
+  // by ~58 KB of digests, so the output mark stops serving after about
+  // 70 of them. Four input marks' worth.
+  sb::wire::FullHashRequest lookup_request;
+  lookup_request.cookie = 7;
+  for (int i = 0; i < 1024; ++i) {
+    lookup_request.prefixes.push_back(
+        crypto::prefix32_of("bulk" + std::to_string(i) + ".example/"));
+  }
+  const auto lookup = sb::wire::encode_full_hash_request(lookup_request);
+  const std::size_t requests =
+      4 * kInputHighWaterBytes / (kEnvelopeHeaderBytes + lookup.size());
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < requests; ++i) {
+    const auto envelope = encode_envelope(i, lookup);
+    burst.insert(burst.end(), envelope.begin(), envelope.end());
+  }
+
+  // Queue what the kernel takes (a larger send buffer where the host
+  // allows it), then let the daemon run.
+  Fd peer = connect_to("unix:" + path);
+  std::string error;
+  ASSERT_TRUE(set_nonblocking(peer.get(), &error)) << error;
+  const int send_buffer = 1 << 20;
+  (void)::setsockopt(peer.get(), SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                     sizeof(send_buffer));
+  std::size_t written = 0;
+  for (;;) {
+    const ssize_t sent =
+        ::send(peer.get(), burst.data() + written, burst.size() - written,
+               MSG_NOSIGNAL);
+    if (sent <= 0) break;
+    written += static_cast<std::size_t>(sent);
+  }
+  const std::size_t bound = kInputHighWaterBytes + kEnvelopeHeaderBytes +
+                            lookup.size() + 64 * 1024;  // + one read
+  ASSERT_GT(written, bound) << "the socket must queue past the mark";
+  std::size_t max_buffered = 0;
+  for (int i = 0; i < 50; ++i) {
+    harness.daemon.poll_once(/*timeout_ms=*/2);
+    max_buffered =
+        std::max(max_buffered, harness.daemon.buffered_input_bytes());
+  }
+  EXPECT_GT(max_buffered, 0u);  // requests wait, unserved
+  EXPECT_LE(max_buffered, bound);
+  EXPECT_LT(harness.daemon.stats().frames_served, requests);
+  EXPECT_EQ(harness.daemon.snapshot().counters.counter("input_buffered_bytes")
+                .value,
+            harness.daemon.buffered_input_bytes());
+
+  // Once the peer reads, the rest of the burst goes through and every
+  // request is answered, in order. (A receive timeout turns a stalled
+  // daemon into a failure, not a hang.)
+  const int flags = ::fcntl(peer.get(), F_GETFL);
+  ASSERT_EQ(::fcntl(peer.get(), F_SETFL, flags & ~O_NONBLOCK), 0);
+  const timeval receive_timeout{10, 0};
+  ASSERT_EQ(::setsockopt(peer.get(), SOL_SOCKET, SO_RCVTIMEO,
+                         &receive_timeout, sizeof(receive_timeout)),
+            0);
+  std::atomic<bool> stop{false};
+  std::thread loop([&] {
+    while (!stop.load()) harness.daemon.poll_once(/*timeout_ms=*/2);
+  });
+  std::thread writer([&] {
+    (void)write_all(peer.get(), burst.data() + written,
+                    burst.size() - written);
+  });
+  std::size_t answered = 0;
+  for (; answered < requests; ++answered) {
+    std::uint8_t header[kEnvelopeHeaderBytes];
+    if (!read_exact(peer.get(), header, sizeof(header))) break;
+    std::uint64_t tick = 0;
+    for (int b = 7; b >= 0; --b) tick = tick << 8 | header[4 + b];
+    if (tick != answered) break;
+    std::vector<std::uint8_t> payload(envelope_payload_length(header));
+    if (!read_exact(peer.get(), payload.data(), payload.size())) break;
+  }
+  writer.join();
+  stop.store(true);
+  loop.join();
+  EXPECT_EQ(answered, requests);
+  EXPECT_EQ(harness.daemon.stats().frames_served, requests);
+  EXPECT_EQ(harness.daemon.buffered_input_bytes(), 0u);
 
   harness.daemon.shutdown();
   std::remove(path.c_str());
